@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -91,16 +92,17 @@ func TestSolveSubcommandOverrides(t *testing.T) {
 	}
 }
 
+// TestSolveSubcommandKernelFlags: the PDE kernel has one execution path, so
+// the retired -kernel-workers and -precision flags are unknown on every
+// subcommand that once took them.
 func TestSolveSubcommandKernelFlags(t *testing.T) {
-	if err := run([]string{"solve", "-nh", "5", "-nq", "21", "-steps", "30",
-		"-kernel-workers", "2", "-precision", "float32"}); err != nil {
-		t.Fatalf("solve with kernel flags: %v", err)
-	}
-	if err := run([]string{"solve", "-precision", "float16"}); err == nil {
-		t.Error("unknown precision should error")
-	}
-	if err := run([]string{"solve", "-scheme", "explicit", "-precision", "float32"}); err == nil {
-		t.Error("float32 with the explicit scheme should error")
+	for _, sub := range []string{"solve", "market", "serve", "precompute"} {
+		for _, flag := range [][]string{{"-kernel-workers", "2"}, {"-precision", "float32"}} {
+			err := run(append([]string{sub}, flag...))
+			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+				t.Errorf("%s %s: got %v, want an undefined-flag error", sub, flag[0], err)
+			}
+		}
 	}
 }
 

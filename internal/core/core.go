@@ -19,7 +19,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/mec"
-	"repro/internal/pde"
 )
 
 // Workload is the per-epoch, per-content demand descriptor. See
@@ -29,16 +28,6 @@ type Workload = engine.Workload
 // Config controls one mean-field equilibrium computation (Algorithm 2). See
 // engine.Config.
 type Config = engine.Config
-
-// KernelConfig tunes how the PDE sweeps execute (parallel line-sweep
-// workers, opt-in float32 fast path). See pde.KernelConfig.
-type KernelConfig = pde.KernelConfig
-
-// Kernel precision names accepted by KernelConfig.Precision.
-const (
-	PrecisionFloat64 = pde.PrecisionFloat64
-	PrecisionFloat32 = pde.PrecisionFloat32
-)
 
 // SurrogateConfig points a solve at a precomputed surrogate table and bounds
 // the interpolation error it will accept. See engine.SurrogateConfig.

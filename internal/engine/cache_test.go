@@ -4,7 +4,25 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/mec"
 )
+
+// TestCacheKeyDefaultGolden pins the default-config key byte for byte. Store
+// segments, surrogate base keys and peer requests persist these strings, so
+// any change to the encoding orphans every entry written before it.
+func TestCacheKeyDefaultGolden(t *testing.T) {
+	const want = "M=300;K=20;Qk=100;W1=1;W2=0.05;W3=10;Xi=0.1;SigmaQ=10;ChRate=2;ChMean=5;ChSigma=0.5;" +
+		"HMin=1;HMax=10;Bandwidth=10;TxPower=1;Noise=0.001;PathLoss=3;MeanDist=10;Interfer=4;HubRate=2;" +
+		"RateFloor=1;PHat=1.5;Eta1=0.002;Eta2=2;SharePrice=0.3;W4=25;W5=650;Alpha=0.2;SmoothL=0.05;" +
+		"ZipfSkew=0.8;LMax=5;Horizon=1;InitMeanFrac=0.7;InitStdFrac=0.1;" +
+		"NH=13;NQ=61;Steps=120;MaxIters=40;Tol=0.001;Damping=0.6;Form=0;Share=true;Scheme=implicit;" +
+		"Requests=10;Pop=0.3;Timeliness=2;"
+	w := Workload{Requests: 10, Pop: 0.3, Timeliness: 2}
+	if got := CacheKey(DefaultConfig(mec.Default()), w); got != want {
+		t.Errorf("default CacheKey changed:\n got %q\nwant %q", got, want)
+	}
+}
 
 // TestCacheKeyCanonical checks the canonicalisation contract: identical
 // inputs and sub-round-off jitter map onto one key; every meaningful

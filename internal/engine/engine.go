@@ -102,15 +102,6 @@ type Config struct {
 	// configurations working.
 	Scheme string
 
-	// Kernel tunes how the PDE sweeps execute: Workers bounds the parallel
-	// line-sweep fan-out (partitioning is invisible in the results — the
-	// default float64 path is bit-exact at every worker count), Precision
-	// opts into the float32 fast kernel (implicit scheme only; changes the
-	// computed solution within single-precision tolerance, so it separates
-	// cache keys while Workers does not). The zero value is the serial
-	// float64 kernel.
-	Kernel pde.KernelConfig
-
 	// ShareEnabled distinguishes MFG-CP (true) from the MFG baseline
 	// without peer sharing (false).
 	ShareEnabled bool
@@ -207,15 +198,8 @@ func (c Config) Validate() error {
 	if math.IsNaN(c.BlowupResidual) || math.IsInf(c.BlowupResidual, 0) || c.BlowupResidual < 0 {
 		return fmt.Errorf("core: BlowupResidual must be non-negative and finite, got %g", c.BlowupResidual)
 	}
-	sch, err := c.scheme()
-	if err != nil {
+	if _, err := c.scheme(); err != nil {
 		return err
-	}
-	if err := c.Kernel.Validate(); err != nil {
-		return err
-	}
-	if c.Kernel.Precision == pde.PrecisionFloat32 && sch.Stepping() != pde.Implicit {
-		return errors.New("core: the float32 kernel supports the implicit scheme only")
 	}
 	return c.Surrogate.Validate()
 }

@@ -148,3 +148,22 @@ func TestWorkloadValidationRejectsNonFinite(t *testing.T) {
 		t.Errorf("DecodeWorkload = %+v, %v", w, err)
 	}
 }
+
+// TestKernelConfigJSON: the solver config has no kernel block. A document
+// that still carries one is an unknown-field error rather than a silent
+// no-op, and the codec never emits one.
+func TestKernelConfigJSON(t *testing.T) {
+	cfg, _ := smallConfig()
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	if strings.Contains(string(raw), `"Kernel"`) {
+		t.Errorf("marshalled config carries a kernel block: %s", raw)
+	}
+	for _, doc := range []string{`{"Kernel":{"Workers":2}}`, `{"Kernel":{"Precision":"float32"}}`} {
+		if _, err := DecodeConfig([]byte(doc), cfg); err == nil || !strings.Contains(err.Error(), "Kernel") {
+			t.Errorf("DecodeConfig(%s) = %v, want an unknown-field error naming Kernel", doc, err)
+		}
+	}
+}

@@ -1,39 +1,13 @@
 package pde
 
 import (
-	"fmt"
-	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/grid"
 )
-
-func TestKernelConfigValidate(t *testing.T) {
-	good := []KernelConfig{
-		{},
-		{Workers: 8},
-		{Precision: PrecisionFloat64},
-		{Workers: 2, Precision: PrecisionFloat32},
-	}
-	for _, kc := range good {
-		if err := kc.Validate(); err != nil {
-			t.Errorf("Validate(%+v): %v", kc, err)
-		}
-	}
-	if err := (KernelConfig{Workers: -1}).Validate(); err == nil {
-		t.Error("negative workers accepted")
-	}
-	if err := (KernelConfig{Precision: "float16"}).Validate(); err == nil {
-		t.Error("unknown precision accepted")
-	}
-	if w := (KernelConfig{Workers: 1 << 20}).effectiveWorkers(); w != maxKernelWorkers {
-		t.Errorf("effective workers = %d, want clamp to %d", w, maxKernelWorkers)
-	}
-	if w := (KernelConfig{}).effectiveWorkers(); w != 1 {
-		t.Errorf("zero-value effective workers = %d, want 1", w)
-	}
-}
 
 func TestSchemeNamesDerivedFromRegistry(t *testing.T) {
 	names := SchemeNames()
@@ -50,8 +24,8 @@ func TestSchemeNamesDerivedFromRegistry(t *testing.T) {
 	}
 }
 
-// kernelTestProblems builds one HJB and one FPK problem on a grid large
-// enough to engage every parallel phase (batch threshold included).
+// kernelTestProblems builds one HJB and one FPK problem on a 41×101 grid, the
+// size class of the daemon's finer solver configurations.
 func kernelTestProblems(t *testing.T, st Stepping, steps int) (*HJBProblem, *FPKProblem, []float64) {
 	t.Helper()
 	hAxis, err := grid.NewAxis(1, 10, 41)
@@ -99,185 +73,64 @@ func kernelTestProblems(t *testing.T, st Stepping, steps int) (*HJBProblem, *FPK
 	return hp, fp, lambda0
 }
 
-func solveBothKernels(t *testing.T, kc KernelConfig, st Stepping, steps int) (*HJBSolution, *FPKSolution) {
+func solveBoth(t *testing.T, st Stepping, steps int) (*HJBSolution, *FPKSolution) {
 	t.Helper()
 	hp, fp, lambda0 := kernelTestProblems(t, st, steps)
-	ws, err := NewWorkspaceKernel(hp.Grid, kc)
+	ws, err := NewWorkspace(hp.Grid)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil, nil
 	}
 	hsol := NewHJBSolution(hp.Grid, hp.Time)
 	if err := SolveHJBInto(ws, nil, hp, hsol); err != nil {
-		t.Fatalf("SolveHJBInto(%+v): %v", kc, err)
+		t.Errorf("SolveHJBInto: %v", err)
+		return nil, nil
 	}
 	fsol := NewFPKSolution(fp.Grid, fp.Time)
 	if err := SolveFPKInto(ws, nil, fp, lambda0, fsol); err != nil {
-		t.Fatalf("SolveFPKInto(%+v): %v", kc, err)
+		t.Errorf("SolveFPKInto: %v", err)
+		return nil, nil
 	}
 	return hsol, fsol
 }
 
-// TestParallelSweepDeterminism: in float64 mode, every worker count must
-// produce byte-identical solutions — the partition is invisible in the
-// results. This is the contract that lets the engine's golden fingerprint
-// and cache bit-equality hold with parallelism enabled.
-func TestParallelSweepDeterminism(t *testing.T) {
+// TestParallelSweepRace runs full solves concurrently, one workspace per
+// goroutine, as the serving pool does. Under `go test -race` it catches state
+// shared between workspaces; every concurrent solve must also reproduce the
+// serial reference bit for bit.
+func TestParallelSweepRace(t *testing.T) {
 	for _, st := range []Stepping{Implicit, Explicit} {
-		steps := 30
+		steps := 20
 		if st == Explicit {
 			steps = 1200 // satisfy the CFL bound on the fine grid
 		}
-		ref, refF := solveBothKernels(t, KernelConfig{Workers: 1}, st, steps)
-		for _, workers := range []int{2, 4, 7} {
-			got, gotF := solveBothKernels(t, KernelConfig{Workers: workers}, st, steps)
-			for n := range ref.V {
-				for k := range ref.V[n] {
-					if got.V[n][k] != ref.V[n][k] || got.X[n][k] != ref.X[n][k] {
-						t.Fatalf("stepping %v: V/X differ at level %d, index %d with %d workers",
-							st, n, k, workers)
+		ref, refF := solveBoth(t, st, steps)
+		if ref == nil {
+			t.FailNow()
+		}
+		var wg sync.WaitGroup
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, gotF := solveBoth(t, st, steps)
+				if got == nil {
+					return
+				}
+				for n := range ref.V {
+					if !slices.Equal(got.V[n], ref.V[n]) || !slices.Equal(got.X[n], ref.X[n]) {
+						t.Errorf("stepping %v: concurrent V/X differ at level %d", st, n)
+						return
 					}
 				}
-			}
-			for n := range refF.Lambda {
-				for k := range refF.Lambda[n] {
-					if gotF.Lambda[n][k] != refF.Lambda[n][k] {
-						t.Fatalf("stepping %v: λ differs at level %d, index %d with %d workers",
-							st, n, k, workers)
+				for n := range refF.Lambda {
+					if !slices.Equal(gotF.Lambda[n], refF.Lambda[n]) {
+						t.Errorf("stepping %v: concurrent λ differs at level %d", st, n)
+						return
 					}
 				}
-			}
+			}()
 		}
+		wg.Wait()
 	}
-}
-
-// TestParallelSweepRace exercises every parallel phase with more workers than
-// most CI machines have cores so `go test -race` can detect sharing bugs
-// between sweep workers (the race detector tracks happens-before, so
-// time-sliced goroutines on few cores still expose unsynchronised sharing).
-func TestParallelSweepRace(t *testing.T) {
-	kc := KernelConfig{Workers: 8}
-	solveBothKernels(t, kc, Implicit, 20)
-	solveBothKernels(t, kc, Explicit, 1200)
-	kc.Precision = PrecisionFloat32
-	solveBothKernels(t, kc, Implicit, 20)
-}
-
-// TestFloat32KernelAccuracy: the fast path must track the float64 solution to
-// single-precision accuracy on a well-conditioned problem. The end-to-end
-// equilibrium contract lives in the verify layer's precision harness; this
-// guards the kernel in isolation.
-func TestFloat32KernelAccuracy(t *testing.T) {
-	ref, refF := solveBothKernels(t, KernelConfig{}, Implicit, 30)
-	got, gotF := solveBothKernels(t, KernelConfig{Precision: PrecisionFloat32, Workers: 2}, Implicit, 30)
-	var scale float64
-	for _, v := range ref.V[0] {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
-	for k := range ref.V[0] {
-		if d := math.Abs(got.V[0][k] - ref.V[0][k]); d > 1e-4*scale {
-			t.Fatalf("float32 value field off at %d: |Δ| = %g (scale %g)", k, d, scale)
-		}
-	}
-	n := len(refF.Lambda) - 1
-	var peak float64
-	for _, v := range refF.Lambda[n] {
-		if v > peak {
-			peak = v
-		}
-	}
-	for k := range refF.Lambda[n] {
-		if d := math.Abs(gotF.Lambda[n][k] - refF.Lambda[n][k]); d > 1e-3*peak {
-			t.Fatalf("float32 density off at %d: |Δ| = %g (peak %g)", k, d, peak)
-		}
-	}
-}
-
-// TestFloat32RejectsExplicit: the float32 kernel is an implicit-only fast
-// path.
-func TestFloat32RejectsExplicit(t *testing.T) {
-	hp, fp, lambda0 := kernelTestProblems(t, Explicit, 1200)
-	ws, err := NewWorkspaceKernel(hp.Grid, KernelConfig{Precision: PrecisionFloat32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SolveHJBInto(ws, nil, hp, NewHJBSolution(hp.Grid, hp.Time)); err == nil {
-		t.Error("float32 + explicit HJB accepted")
-	}
-	if err := SolveFPKInto(ws, nil, fp, lambda0, NewFPKSolution(fp.Grid, fp.Time)); err == nil {
-		t.Error("float32 + explicit FPK accepted")
-	}
-}
-
-// BenchmarkSweepParallel measures one full backward-forward integration pass
-// at increasing worker counts on a grid large enough for every phase to
-// engage.
-func BenchmarkSweepParallel(b *testing.B) {
-	hAxis, _ := grid.NewAxis(1, 10, 41)
-	qAxis, _ := grid.NewAxis(0, 100, 101)
-	g, _ := grid.NewGrid2D(hAxis, qAxis)
-	tm, _ := grid.NewTimeMesh(1, 30)
-	hp := &HJBProblem{
-		Grid:    g,
-		Time:    tm,
-		DiffH:   0.05,
-		DiffQ:   0.4,
-		DriftH:  func(_, h float64) float64 { return 2 * (5 - h) },
-		DriftQ:  func(_, x float64) float64 { return -40 * x },
-		Control: func(_, h, q, dVdq float64) float64 { return 0.5 - 0.01*dVdq + 0.001*h - 0.0001*q },
-		Running: func(_, x, h, q float64) float64 { return 2*h - 0.01*q - x*x },
-	}
-	fp := &FPKProblem{
-		Grid:        g,
-		Time:        tm,
-		DiffH:       0.05,
-		DiffQ:       0.4,
-		DriftH:      hp.DriftH,
-		DriftQ:      func(_, h, q float64) float64 { return -0.12*q + 0.3*h },
-		Form:        Conservative,
-		Renormalize: true,
-	}
-	lambda0, err := GaussianDensity(g, 5, 1.5, 70, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			ws, err := NewWorkspaceKernel(g, KernelConfig{Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			hsol := NewHJBSolution(g, tm)
-			fsol := NewFPKSolution(g, tm)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := SolveHJBInto(ws, nil, hp, hsol); err != nil {
-					b.Fatal(err)
-				}
-				if err := SolveFPKInto(ws, nil, fp, lambda0, fsol); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("float32", func(b *testing.B) {
-		ws, err := NewWorkspaceKernel(g, KernelConfig{Workers: 4, Precision: PrecisionFloat32})
-		if err != nil {
-			b.Fatal(err)
-		}
-		hsol := NewHJBSolution(g, tm)
-		fsol := NewFPKSolution(g, tm)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := SolveHJBInto(ws, nil, hp, hsol); err != nil {
-				b.Fatal(err)
-			}
-			if err := SolveFPKInto(ws, nil, fp, lambda0, fsol); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -72,6 +73,39 @@ func counterSum(replicas []fleetReplica, name string) float64 {
 	return sum
 }
 
+// splitOwnershipBodies returns n distinct solve bodies of which replicas[0]
+// owns at least one and fails to own at least one other, judged on a ring
+// built over the replicas' actual URLs. The listeners bind ephemeral ports,
+// so ownership of any fixed body changes from run to run; choosing bodies by
+// ownership keeps both routing paths of the first-asked replica exercised.
+func splitOwnershipBodies(t *testing.T, replicas []fleetReplica, n int) []string {
+	t.Helper()
+	ring := cluster.NewRing(0)
+	for _, r := range replicas {
+		ring.Add(r.base)
+	}
+	solver := replicas[0].srv.cfg.Solver
+	solver.Params = replicas[0].srv.cfg.Params
+	var owned, other []string
+	for req := 10; req < 210; req++ {
+		body := fmt.Sprintf(`{"Workload": {"Requests": %d, "Pop": 0.3, "Timeliness": 3}}`, req)
+		w := engine.Workload{Requests: float64(req), Pop: 0.3, Timeliness: 3}
+		if ring.Owner(engine.CacheKey(solver, w)) == replicas[0].base {
+			owned = append(owned, body)
+		} else {
+			other = append(other, body)
+		}
+		if len(owned) > 0 && len(other) > 0 && len(owned)+len(other) >= n {
+			break
+		}
+	}
+	if len(owned) == 0 || len(other) == 0 {
+		t.Fatalf("no ownership split among candidate bodies: %d owned by replica 0, %d not", len(owned), len(other))
+	}
+	bodies := append([]string{owned[0], other[0]}, owned[1:]...)
+	return append(bodies, other[1:]...)[:n]
+}
+
 // TestFleetExactlyOneColdSolvePerKey is the tentpole acceptance check: spray
 // several unique workloads across every replica of a 3-member fleet and
 // require (a) exactly one engine solve per unique key fleet-wide, (b) peer
@@ -81,10 +115,7 @@ func TestFleetExactlyOneColdSolvePerKey(t *testing.T) {
 	replicas := startFleet(t, 3, nil)
 
 	const uniqueKeys = 4
-	bodies := make([]string, uniqueKeys)
-	for i := range bodies {
-		bodies[i] = fmt.Sprintf(`{"Workload": {"Requests": %d, "Pop": 0.%d, "Timeliness": 3}}`, 10+i, 1+i)
-	}
+	bodies := splitOwnershipBodies(t, replicas, uniqueKeys)
 
 	// Each unique body visits every replica (mixed-target load): whichever
 	// replica is asked first forwards to the key's owner, so the owner solves

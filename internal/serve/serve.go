@@ -403,8 +403,7 @@ type flight struct {
 }
 
 // solveOutcome annotates a solve result with how it was obtained; the
-// handlers surface it as the response's Source field (and the deprecated
-// X-Mfgcp-Cache header derived from it).
+// handlers surface it as the response's Source field.
 type solveOutcome struct {
 	SurrogateHit bool
 	CacheHit     bool

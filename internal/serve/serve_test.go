@@ -54,6 +54,16 @@ func postSolve(t *testing.T, client *http.Client, url, body string) (*http.Respo
 	return resp, data
 }
 
+// sourceOf decodes the provenance of a solve body.
+func sourceOf(t *testing.T, data []byte) Source {
+	t.Helper()
+	var sr SolveResponse
+	if err := json.Unmarshal(data, &sr); err != nil {
+		t.Fatalf("decode solve body %q: %v", data, err)
+	}
+	return sr.Source
+}
+
 // bodyWithoutSource re-encodes a solve body with its provenance removed: the
 // equilibrium series must be identical across ladder rungs even though the
 // source field names whichever rung answered. json.Marshal of a map emits
@@ -170,8 +180,8 @@ func TestSolveCoalescing(t *testing.T) {
 	if warm.Source != SourceCache {
 		t.Errorf("warm repeat source = %q, want %q", warm.Source, SourceCache)
 	}
-	if got := resp2.Header.Get("X-Mfgcp-Cache"); got != "hit" {
-		t.Errorf("warm repeat X-Mfgcp-Cache = %q, want hit", got)
+	if got := resp2.Header.Get("X-Mfgcp-Cache"); got != "" {
+		t.Errorf("retired X-Mfgcp-Cache header still emitted: %q", got)
 	}
 	if got := reg.Snapshot().Counters["serve.solve.executed"]; got != 1 {
 		t.Errorf("warm repeat re-solved: serve.solve.executed = %g", got)
@@ -349,6 +359,7 @@ func TestRequestValidation(t *testing.T) {
 	}{
 		{"unknown top-level key", `{"Grid": 5}`, "unknown field"},
 		{"unknown solver key", `{"Solver": {"Damp": 0.5}}`, "unknown field"},
+		{"retired kernel block", `{"Solver":{"Kernel":{"Workers":2}}}`, `unknown field "Kernel"`},
 		{"invalid solver value", `{"Solver": {"Tol": -1}}`, "Tol"},
 		{"invalid params", `{"Params": {"Qk": -3}}`, "Qk"},
 		{"invalid workload", `{"Workload": {"Pop": 1.7}}`, "popularity"},

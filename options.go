@@ -120,29 +120,15 @@ func WithIteration(maxIters int, tol float64) Option {
 	}
 }
 
-// WithKernel tunes the PDE kernel execution: workers bounds the parallel
-// line-sweep fan-out (0 or 1 is serial; results are bit-identical at every
-// worker count) and precision selects the kernel scalar type ("" or
-// "float64" for the default path, "float32" for the opt-in fast path, which
-// requires the implicit scheme). On a market configuration it applies to the
-// per-epoch equilibrium solves.
-func WithKernel(workers int, precision string) Option {
-	kc := KernelConfig{Workers: workers, Precision: precision}
-	return dualOption{
-		solve:  func(c *SolverConfig) { c.Kernel = kc },
-		market: func(c *MarketConfig) { c.Solver.Kernel = kc },
-	}
-}
-
 // WithSurrogate points the configuration at a precomputed surrogate table
 // (built by `mfgcp precompute`): consumers that support the tier — the
 // serving daemon, `mfgcp solve -surrogate` — answer in-region workloads by
 // multilinear interpolation with the cell's declared error bound attached,
 // and fall back to the exact solver outside the trust region. maxErrorBound
 // tightens the trust region further: an in-region answer whose declared bound
-// exceeds it falls through too (0 accepts any in-region bound). Like
-// WithKernel this is routing, not model, configuration — it is excluded from
-// equilibrium cache keys.
+// exceeds it falls through too (0 accepts any in-region bound). This is
+// routing, not model, configuration — it is excluded from equilibrium cache
+// keys.
 func WithSurrogate(path string, maxErrorBound float64) Option {
 	sc := SurrogateConfig{Path: path, MaxErrorBound: maxErrorBound}
 	return dualOption{
